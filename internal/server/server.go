@@ -74,6 +74,15 @@
 // Streams are auto-created on first ingest with Config.DefaultSpec
 // when not explicitly configured.
 //
+// The ingest body contract: every point is exactly two finite JSON
+// numbers [x,y]; any other entry ([1], [1,2,3], null, [1,null]) is a
+// 400 naming the point's index. Members other than "points" are
+// ignored, and a body with no points is a 400. A batch over
+// Config.MaxBatch points or a body over Config.MaxBodyBytes is a 413.
+// The canonical shape {"points":[[x,y],...]} is scanned in place;
+// encoding/json judges every other body, with the same acceptance and
+// bit-identical coordinates (decode.go).
+//
 // With Config.DataDir set, every stream is durable regardless of kind:
 // ingested batches are appended to a per-stream write-ahead log before
 // being applied, the stream's spec is persisted in the WAL meta,
@@ -1007,42 +1016,34 @@ func (s *Server) get(tenant, id string, autocreate bool) (*stream, error) {
 	return nil, err
 }
 
-type pointsBody struct {
-	Points [][2]float64 `json:"points"`
-}
-
 func (s *Server) handlePoints(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	var body pointsBody
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&body); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "decoding body: %v", err)
-		return
+	// Stage spans for the ingest hot path. A nil span (tracing off or
+	// unsampled) skips every clock read, so the untraced path stays the
+	// code that ran before tracing existed.
+	sp := trace.FromContext(req.Context())
+	sp.SetAttr("stream", id)
+	var t0 time.Time
+	if sp != nil {
+		t0 = time.Now()
 	}
-	if len(body.Points) == 0 {
-		writeErr(w, http.StatusBadRequest, "no points")
-		return
+	// The whole batch is decoded and validated before the stream is
+	// touched, so a 400 response implies nothing was applied.
+	pts, err := s.readPoints(w, req)
+	if sp != nil {
+		sp.ObserveStage("decode", time.Since(t0))
 	}
-	if len(body.Points) > s.cfg.MaxBatch {
-		writeErr(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d",
-			len(body.Points), s.cfg.MaxBatch)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
 		return
-	}
-	// Validate the whole batch before touching the stream, so a 400
-	// response implies nothing was applied.
-	pts := make([]geom.Point, len(body.Points))
-	for i, xy := range body.Points {
-		p := geom.Pt(xy[0], xy[1])
-		if !p.IsFinite() {
-			writeErr(w, http.StatusBadRequest, "point %d: non-finite coordinates %v", i, xy)
-			return
-		}
-		pts[i] = p
+	case errors.Is(err, errBatchTooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, "%v", err)
+		return
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	// With a fan-in default spec, a point POST to a missing stream would
 	// auto-create an aggregate only to reject the batch below — don't
@@ -1076,12 +1077,6 @@ func (s *Server) handlePoints(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	key := qualifyID(ident.Tenant, id)
-	// Stage spans for the ingest hot path. A nil span (tracing off or
-	// unsampled) skips every clock read, so the untraced path stays the
-	// code that ran before tracing existed.
-	sp := trace.FromContext(req.Context())
-	sp.SetAttr("stream", id)
-	var t0 time.Time
 	if sp != nil {
 		t0 = time.Now()
 	}

@@ -29,9 +29,9 @@ func spanNames(rec *trace.Record) map[string]bool {
 
 // TestDurablePostTraceStages is the acceptance check for the ingest hot
 // path: one durable POST under SyncAlways yields a trace whose child
-// spans name every stage — lock wait, batch prefilter, insert, WAL
-// append, group-commit fsync wait, checkpoint — plus the middleware's
-// auth and rate-limit stages.
+// spans name every stage — body decode, lock wait, batch prefilter,
+// insert, WAL append, group-commit fsync wait, checkpoint — plus the
+// middleware's auth and rate-limit stages.
 func TestDurablePostTraceStages(t *testing.T) {
 	tr := trace.New(trace.Config{})
 	srv := mustNew(t, Config{
@@ -58,7 +58,7 @@ func TestDurablePostTraceStages(t *testing.T) {
 	}
 	names := spanNames(rec)
 	for _, want := range []string{
-		"auth", "ratelimit", "lock_wait", "prefilter", "insert",
+		"auth", "ratelimit", "decode", "lock_wait", "prefilter", "insert",
 		"wal_append", "wal_fsync", "checkpoint",
 	} {
 		if !names[want] {
