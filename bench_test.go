@@ -1,12 +1,12 @@
 // Benchmarks regenerating the paper's evaluation artifacts. Each
-// Benchmark maps to a table or figure of Hershberger–Suri (see DESIGN.md
-// §3 for the index):
+// Benchmark maps to a table or figure of Hershberger–Suri (the
+// paper-to-code map in docs/ARCHITECTURE.md is the index):
 //
 //   - BenchmarkTable1/...       — insertion throughput on the Table 1
 //     workloads for each compared summary (disk, rotated square, rotated
 //     ellipse, changing ellipse × uniform/adaptive/partial);
-//   - BenchmarkPerPoint/...     — the §3.1/§5.3 per-point cost as r grows
-//     (naive Θ(r) scan vs O(log r) summaries);
+//   - BenchmarkPerPoint/...     — the §3.1/§5.3 per-point cost of the
+//     uniform and adaptive summaries as r grows;
 //   - BenchmarkErrorAtR/...     — Theorem 5.4's error scaling: the
 //     err·r²/D metric is reported per r (flat for adaptive, growing
 //     linearly with r for uniform);
@@ -70,8 +70,9 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // BenchmarkPerPoint sweeps r to expose the per-point cost growth of
-// §3.1/§5.3: the naive uniform scan is Θ(r) per point while the summaries
-// stay near O(log r).
+// §3.1/§5.3 for the uniform and adaptive summaries, which stay near
+// O(log r). It does not time the naive Θ(r) uniform scan; only
+// `hullbench -timing` prints that column.
 func BenchmarkPerPoint(b *testing.B) {
 	pts := workload.Take(workload.Disk(5, geom.Point{}, 1), 100000)
 	for _, r := range []int{16, 64, 256, 1024} {

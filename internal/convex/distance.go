@@ -74,8 +74,9 @@ func separatedByEdge(p, q Polygon) bool {
 
 // MinDist returns the minimum distance between the two polygons and a pair
 // of points realizing it. Intersecting polygons have distance zero. The
-// edge-pair scan is O(nm); summary polygons have at most 2r+1 vertices, so
-// this stays comfortably fast for tracking queries (see DESIGN.md).
+// edge-pair scan is O(nm) rather than a linear rotating-calipers walk;
+// summary polygons have at most 2r+1 vertices, so this stays comfortably
+// fast for tracking queries.
 func MinDist(p, q Polygon) (float64, [2]geom.Point) {
 	if len(p.vs) == 0 || len(q.vs) == 0 {
 		return math.Inf(1), [2]geom.Point{}

@@ -79,9 +79,10 @@ func ContainsBruteIdx(n int, at func(int) geom.Point, q geom.Point) bool {
 // at(first), …, at(first+count): the two tangent points from q are
 // at(first) and at((first+count) mod n).
 //
-// The scan is O(n); it is invoked only for points that change the hull (or
-// land in the thin uncertainty ring), which standard amortization makes
-// cheap for the summaries. See DESIGN.md for the deviation note.
+// The scan is O(n), where a binary search for the two tangents from q
+// would be O(log n). It is invoked only for points that change the hull
+// (or land in the thin uncertainty ring), which standard amortization
+// makes cheap for the summaries.
 func VisibleRange(n int, at func(int) geom.Point, q geom.Point) (first, count int, ok bool) {
 	if n < 2 {
 		return 0, 0, false

@@ -22,8 +22,8 @@ func benchPoints(n int, seed int64) []geom.Point {
 }
 
 // BenchmarkAblationSearch compares the localized candidate-gap search
-// against the exhaustive reference scan (the DESIGN.md ablation for the
-// §5.2 step-1 fast path).
+// against the exhaustive reference scan (Config.Reference), the ablation
+// for the §5.2 step-1 fast path.
 func BenchmarkAblationSearch(b *testing.B) {
 	pts := benchPoints(1<<16, 1)
 	for _, r := range []int{32, 256} {

@@ -138,7 +138,3 @@ func (s Space) AngleToNearestIdx(theta float64) uint64 {
 	t := uint64(math.Round(f))
 	return t % s.Units
 }
-
-// FloorUniform returns the largest uniform direction index j such that
-// j·θ0 ≤ the angle at index t.
-func (s Space) FloorUniform(t uint64) int { return s.Gap(t % s.Units) }

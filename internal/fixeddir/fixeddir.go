@@ -177,10 +177,6 @@ func (h *Hull) Degenerate() bool { return h.degenerate }
 // VertexPoint returns the point of the i-th vertex record in CCW order.
 func (h *Hull) VertexPoint(i int) geom.Point { return h.verts[i].pt }
 
-// VertexStart returns the first direction index covered by the i-th
-// vertex record.
-func (h *Hull) VertexStart(i int) int { return h.verts[i].start }
-
 // Inside reports whether q lies inside or on the sampled polygon, using
 // the O(log v) search. It must not be used when Degenerate() is true.
 func (h *Hull) Inside(q geom.Point) bool {

@@ -173,10 +173,13 @@ func (s *Server) pickVictim() (string, *stream) {
 
 // evict parks one stream cold: seals its un-checkpointed tail (for
 // checkpointable kinds — exact/partial/partitioned keep their full log
-// and replay it on rehydration), preserves the listing counters, drops
-// the summary and read cache, closes the appender, and purges pair
-// answers keyed on the retired cache. Quota bytes are NOT released:
-// the points are still durably resident and still the tenant's.
+// and replay it on rehydration) without re-basing the summary it is
+// about to drop, preserves the listing counters, drops the summary and
+// read cache, closes the appender, and purges pair answers keyed on the
+// retired cache. Rehydration restores that same checkpoint, so it
+// serves exactly what a re-base would have. Quota bytes are NOT
+// released: the points are still durably resident and still the
+// tenant's.
 func (s *Server) evict(key string, st *stream, sp *trace.Span) {
 	var t0 time.Time
 	if sp != nil {
@@ -191,7 +194,7 @@ func (s *Server) evict(key string, st *stream, sp *trace.Span) {
 		return
 	}
 	if st.sinceCkpt > 0 {
-		s.checkpointLocked(key, st)
+		s.sealLocked(key, st)
 	}
 	st.coldN, st.coldSample = st.sum.N(), st.sum.SampleSize()
 	old := st.cache.Load()

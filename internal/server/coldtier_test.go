@@ -3,10 +3,12 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -45,10 +47,11 @@ func TestColdTierBitExact(t *testing.T) {
 		}
 	}
 	// Both servers checkpoint at every 400-point batch boundary, so the
-	// adaptive re-base (which checkpoints always perform, eviction or
-	// not) happens at identical stream positions on both sides and the
-	// twin comparison is bit-exact. An eviction then finds sinceCkpt == 0
-	// and adds no extra checkpoint of its own.
+	// adaptive re-base of the ingest-path checkpoint happens at identical
+	// stream positions on both sides and the twin comparison is
+	// bit-exact. An eviction then finds sinceCkpt == 0 and seals no
+	// checkpoint of its own (one that did would not re-base; the
+	// rehydration restores it instead).
 	coldCfg := coldConfig(t.TempDir(), 1)
 	coldCfg.CheckpointEvery = 400
 	cold := mustNew(t, coldCfg)
@@ -214,6 +217,14 @@ func TestColdTierConcurrency(t *testing.T) {
 	defer ts.Close()
 
 	ids := []string{"h0", "h1", "h2", "h3"}
+	// Create every stream before the workers start: a round-0 pair query
+	// names the next worker's stream, which its first POST might not
+	// have created yet.
+	for _, id := range ids {
+		if code, resp := do(t, "PUT", ts.URL+"/v1/streams/"+id, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: %d %v", id, code, resp)
+		}
+	}
 	const rounds = 30
 	var wg sync.WaitGroup
 	for w, id := range ids {
@@ -511,4 +522,85 @@ func TestColdTierMemoryBackend(t *testing.T) {
 		t.Fatalf("rehydrated n = %v", n)
 	}
 	sameVertices(t, gotVs, wantVs)
+}
+
+// TestEvictSealsWithoutRebase: evicting a stream with un-checkpointed
+// ingest seals its checkpoint but does not re-base the summary it is
+// about to drop. A re-base is a full restore, so an eviction that still
+// performed one would allocate at least what a restore does. The
+// listing keeps the sample size the stream had when evicted, and the
+// next touch serves a restore of exactly the sealed snapshot.
+func TestEvictSealsWithoutRebase(t *testing.T) {
+	srv := mustNew(t, Config{DefaultR: 32, Store: store.NewMemory()})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	const id, batch, rounds = "ev", 1024, 5
+	pts := workload.Take(workload.DriftBurst(5, 1, geom.Pt(0.02, 0.01), 500, 80, 3), rounds*batch)
+	ingest(t, ts, id, pts[:batch])
+	st, err := srv.get("", id, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		snap        streamhull.Snapshot
+		evictAllocs uint64 = math.MaxUint64
+	)
+	for r := 1; r <= rounds; r++ {
+		if r > 1 {
+			ingest(t, ts, id, pts[(r-1)*batch:r*batch]) // rehydrates, then dirties
+		}
+		st.mu.Lock()
+		sum, dirty := st.sum, st.sinceCkpt
+		st.mu.Unlock()
+		if sum == nil || dirty == 0 {
+			t.Fatalf("round %d: stream warm=%v with %d un-checkpointed points, want warm and dirty", r, sum != nil, dirty)
+		}
+		snap = sum.(streamhull.Snapshotter).Snapshot()
+		live := sum.SampleSize()
+		// The minimum over the rounds discounts allocations that other
+		// goroutines of the test process happen to make meanwhile.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.evict(qualifyID("", id), st, nil)
+		runtime.ReadMemStats(&after)
+		evictAllocs = min(evictAllocs, after.Mallocs-before.Mallocs)
+
+		if rec, err := srv.store.Load(qualifyID("", id)); err != nil || !rec.HasCheckpoint || rec.Points != 0 {
+			t.Fatalf("round %d: after eviction the store holds checkpoint=%v and a %d-point tail (err %v); want the sealed state only",
+				r, rec.HasCheckpoint, rec.Points, err)
+		}
+		code, list := do(t, "GET", ts.URL+"/v1/streams", nil)
+		if code != http.StatusOK {
+			t.Fatalf("list: %d", code)
+		}
+		entry := list["streams"].([]any)[0].(map[string]any)
+		if entry["cold"] != true || int(entry["sample_size"].(float64)) != live {
+			t.Fatalf("round %d: listing %v, want cold with the evicted sample size %d", r, entry, live)
+		}
+	}
+	restoreAllocs := testing.AllocsPerRun(3, func() {
+		if _, err := streamhull.SummaryFromSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if float64(evictAllocs)*4 > restoreAllocs {
+		t.Errorf("evicting a dirty r=32 stream made %d allocations, a restore makes %.0f: eviction still re-bases",
+			evictAllocs, restoreAllocs)
+	}
+
+	want, err := streamhull.SummaryFromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotVs, n := hullVertices(t, ts, id) // rehydrates
+	wantVs := want.Hull().Vertices()
+	if int(n) != rounds*batch || len(gotVs) != len(wantVs) {
+		t.Fatalf("rehydrated n = %v with %d vertices, want %d with %d", n, len(gotVs), rounds*batch, len(wantVs))
+	}
+	for i, v := range wantVs {
+		if g := gotVs[i].([]any); g[0] != v.X || g[1] != v.Y {
+			t.Fatalf("rehydrated vertex %d = %v, want %v", i, g, v)
+		}
+	}
 }

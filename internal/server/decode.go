@@ -12,7 +12,7 @@ import (
 	"github.com/streamgeom/streamhull/geom"
 )
 
-// bodyBuffers recycles ingest body buffers. A buffer grows with the
+// bodyBuffers recycles request body buffers. A buffer grows with the
 // bytes a request sends, never with its claimed Content-Length.
 var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -20,9 +20,11 @@ var bodyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // body does not stay pinned in the pool.
 const maxPooledBody = 1 << 20
 
-// readPoints reads an ingest body through the MaxBodyBytes limit and
-// decodes it. The batch shares no memory with the recycled body buffer.
-func (s *Server) readPoints(w http.ResponseWriter, req *http.Request) ([]geom.Point, error) {
+// readBody reads a request body through the MaxBodyBytes limit into a
+// recycled buffer and returns what decode makes of it. The buffer goes
+// back to the pool when readBody returns, so decode must copy whatever
+// it keeps. writeBodyErr answers either kind of failure.
+func readBody[T any](s *Server, w http.ResponseWriter, req *http.Request, decode func([]byte) (T, error)) (T, error) {
 	buf := bodyBuffers.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBody {
@@ -31,9 +33,25 @@ func (s *Server) readPoints(w http.ResponseWriter, req *http.Request) ([]geom.Po
 		}
 	}()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, s.cfg.MaxBodyBytes)); err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
+		var zero T
+		return zero, fmt.Errorf("reading body: %w", err)
 	}
-	return decodePoints(buf.Bytes(), s.cfg.MaxBatch)
+	return decode(buf.Bytes())
+}
+
+// writeBodyErr answers a request whose body readBody could not read or
+// decode: 413 for a body over MaxBodyBytes or a batch over MaxBatch, 400
+// for anything else.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
+	case errors.Is(err, errBatchTooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, "%v", err)
+	default:
+		writeErr(w, http.StatusBadRequest, "%v", err)
+	}
 }
 
 // errBatchTooLarge marks an ingest body holding more than MaxBatch

@@ -1,14 +1,20 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	streamhull "github.com/streamgeom/streamhull"
+	"github.com/streamgeom/streamhull/internal/fanin"
+	"github.com/streamgeom/streamhull/internal/workload"
 )
 
 // Limits of the server the body-contract table runs against.
@@ -181,6 +187,113 @@ func TestDecodePointsAllocs(t *testing.T) {
 		})
 		if allocs != 1 {
 			t.Errorf("decoding %d points: %v allocations, want 1", n, allocs)
+		}
+	}
+}
+
+// TestBodyDecodersCopy: readBody recycles its buffer as soon as decode
+// returns, so each decoder the handlers hand it must copy what it
+// keeps. Every case decodes a body, overwrites the bytes it decoded
+// from, and checks the value still equals a decode of an untouched copy.
+func TestBodyDecodersCopy(t *testing.T) {
+	sum := streamhull.NewAdaptive(16)
+	pts := workload.Take(workload.Ellipse(3, 1, 0.5, 0.2), 500)
+	if _, err := sum.InsertBatch(pts[:400]); err != nil {
+		t.Fatal(err)
+	}
+	base := sum.Snapshot()
+	if _, err := sum.InsertBatch(pts[400:]); err != nil {
+		t.Fatal(err)
+	}
+	snap := sum.Snapshot()
+	snapJSON, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapBin, err := snap.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		body   []byte
+		decode func([]byte) (any, error)
+	}{
+		{"points", randomPointsBody(64, rand.New(rand.NewSource(2))),
+			func(b []byte) (any, error) { return decodePoints(b, 65536) }},
+		{"spec", []byte(`{"kind":"windowed","r":16,"window":"1000"}`),
+			func(b []byte) (any, error) { return streamhull.ParseSpec(string(b)) }},
+		{"json snapshot", snapJSON,
+			func(b []byte) (any, error) { return streamhull.DecodeSnapshot(b) }},
+		{"binary snapshot", snapBin, func(b []byte) (any, error) {
+			var s streamhull.Snapshot
+			err := s.UnmarshalBinary(b)
+			return s, err
+		}},
+		{"delta", fanin.EncodeDelta(fanin.ComputeDelta(1, 2, snap.N, base.Points, snap.Points)),
+			func(b []byte) (any, error) { return fanin.DecodeDelta(b) }},
+	}
+	for _, c := range cases {
+		buf := bytes.Clone(c.body)
+		got, err := c.decode(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		want, err := c.decode(c.body)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the decoded value changed when its body was overwritten", c.name)
+		}
+	}
+}
+
+// TestBodyLimitEveryReader: the create, restore, full-push and
+// delta-push bodies go through the points endpoint's reader, so each
+// answers 413 past MaxBodyBytes and 400 for a body it cannot decode.
+func TestBodyLimitEveryReader(t *testing.T) {
+	srv := mustNew(t, Config{DefaultR: 16, MaxBodyBytes: 1024})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if code, resp := do(t, "PUT", ts.URL+"/v1/streams/agg?algo=fanin&r=16", nil); code != http.StatusCreated {
+		t.Fatalf("create aggregate: %d %v", code, resp)
+	}
+	bodies := []struct {
+		data   []byte
+		status int
+		code   string
+	}{
+		{bytes.Repeat([]byte(" "), 2048), http.StatusRequestEntityTooLarge, "too_large"},
+		{[]byte("garbage"), http.StatusBadRequest, "bad_request"},
+	}
+	for _, c := range []struct{ name, method, path, ctype string }{
+		{"create", "PUT", "/v1/streams/fresh", "application/json"},
+		{"restore", "POST", "/v1/streams/restored/snapshot", "application/octet-stream"},
+		{"full push", "POST", "/v1/streams/agg/snapshot?source=n1&epoch=1", "application/json"},
+		{"delta push", "POST", "/v1/streams/agg/snapshot?source=n1", fanin.DeltaContentType},
+	} {
+		for _, b := range bodies {
+			req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(b.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", c.ctype)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			err = json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != b.status || eb.Code != b.code {
+				t.Errorf("%s with a %d-byte body: %d %+v (%v), want %d %s",
+					c.name, len(b.data), resp.StatusCode, eb, err, b.status, b.code)
+			}
 		}
 	}
 }

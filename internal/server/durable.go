@@ -17,9 +17,9 @@ import (
 //
 // Checkpoints compact the log to the summary's live state:
 //
-//   - adaptive and uniform streams seal their O(r) Snapshot and re-base
-//     the live summary on it, so recovery reproduces the served state
-//     exactly;
+//   - adaptive and uniform streams seal their O(r) Snapshot; the
+//     ingest-path checkpoint and Close then re-base the live summary on
+//     it, so recovery reproduces the served state exactly;
 //   - windowed streams seal their full exponential-histogram bucket
 //     structure (O(r log n + HeadCap) points, see
 //     streamhull.WindowedHull.MarshalState) — bit-exact without
@@ -30,7 +30,8 @@ import (
 //
 // The same O(r) checkpoint is what makes the cold tier (coldtier.go)
 // cheap: evicting an idle stream seals its checkpoint and drops the
-// summary, and rehydration is one Load of a few hundred bytes.
+// summary without re-basing it, and rehydration is one Load of a few
+// hundred bytes that restores the same state a re-base would have.
 
 // checkpointable reports whether a summary kind has a faithful
 // checkpoint representation; other kinds retain their full log.
@@ -119,44 +120,15 @@ func (s *Server) maybeCheckpointLocked(id string, st *stream) {
 	s.checkpointLocked(id, st)
 }
 
-// checkpointLocked seals a checkpoint now (see maybeCheckpointLocked).
-// Close and the eviction path also call it directly, so a graceful
-// shutdown or an eviction leaves every checkpointable stream compacted —
-// in particular a time-windowed stream's bucket timestamps are sealed,
-// and neither a routine restart nor a rehydration re-stamps its log
-// tail. Caller holds st.mu.
+// checkpointLocked seals a checkpoint now (see maybeCheckpointLocked)
+// and re-bases an adaptive or uniform stream on it. Close also calls it
+// directly, so a graceful shutdown leaves every checkpointable stream
+// compacted — in particular a time-windowed stream's bucket timestamps
+// are sealed, and a routine restart does not re-stamp its log tail.
+// Caller holds st.mu.
 func (s *Server) checkpointLocked(id string, st *stream) {
-	if st.app == nil || !checkpointable(st.spec.Kind) {
-		return
-	}
-	st.sinceCkpt = 0
-	if wh, ok := st.sum.(*streamhull.WindowedHull); ok {
-		data, err := wh.MarshalState()
-		if err != nil {
-			s.logger.Error("wal: encoding windowed checkpoint failed",
-				"stream", id, "tenant", st.tenant, "err", err)
-			return
-		}
-		if err := st.app.Checkpoint(data); err != nil {
-			s.logger.Error("wal: checkpoint failed",
-				"stream", id, "tenant", st.tenant, "err", err)
-		}
-		return
-	}
-	sn, ok := st.sum.(streamhull.Snapshotter)
+	snap, ok := s.sealLocked(id, st)
 	if !ok {
-		return
-	}
-	snap := sn.Snapshot()
-	data, err := snap.MarshalBinary()
-	if err != nil {
-		s.logger.Error("wal: encoding checkpoint failed",
-			"stream", id, "tenant", st.tenant, "err", err)
-		return
-	}
-	if err := st.app.Checkpoint(data); err != nil {
-		s.logger.Error("wal: checkpoint failed",
-			"stream", id, "tenant", st.tenant, "err", err)
 		return
 	}
 	restored, err := streamhull.SummaryFromSnapshot(snap)
@@ -173,6 +145,50 @@ func (s *Server) checkpointLocked(id string, st *stream) {
 	old := st.cache.Load()
 	st.setSummary(restored)
 	s.pairs.purge(old)
+}
+
+// sealLocked writes the stream's current state to its log as a
+// checkpoint, without touching the live summary. It returns the sealed
+// Snapshot of an adaptive or uniform stream for the caller to re-base
+// on, and false when there is nothing to re-base: a windowed stream
+// (its capture loses nothing), a kind without checkpoints, or a failed
+// seal. Eviction seals only, since it drops the summary right after.
+// Caller holds st.mu.
+func (s *Server) sealLocked(id string, st *stream) (streamhull.Snapshot, bool) {
+	if st.app == nil || !checkpointable(st.spec.Kind) {
+		return streamhull.Snapshot{}, false
+	}
+	st.sinceCkpt = 0
+	if wh, ok := st.sum.(*streamhull.WindowedHull); ok {
+		data, err := wh.MarshalState()
+		if err != nil {
+			s.logger.Error("wal: encoding windowed checkpoint failed",
+				"stream", id, "tenant", st.tenant, "err", err)
+			return streamhull.Snapshot{}, false
+		}
+		if err := st.app.Checkpoint(data); err != nil {
+			s.logger.Error("wal: checkpoint failed",
+				"stream", id, "tenant", st.tenant, "err", err)
+		}
+		return streamhull.Snapshot{}, false
+	}
+	sn, ok := st.sum.(streamhull.Snapshotter)
+	if !ok {
+		return streamhull.Snapshot{}, false
+	}
+	snap := sn.Snapshot()
+	data, err := snap.MarshalBinary()
+	if err != nil {
+		s.logger.Error("wal: encoding checkpoint failed",
+			"stream", id, "tenant", st.tenant, "err", err)
+		return streamhull.Snapshot{}, false
+	}
+	if err := st.app.Checkpoint(data); err != nil {
+		s.logger.Error("wal: checkpoint failed",
+			"stream", id, "tenant", st.tenant, "err", err)
+		return streamhull.Snapshot{}, false
+	}
+	return snap, true
 }
 
 // dropStorage closes a deleted stream's appender and removes its
@@ -194,10 +210,3 @@ func (s *Server) dropStorage(id string, st *stream) {
 			"stream", id, "tenant", st.tenant, "err", err)
 	}
 }
-
-// encodeStreamDir / decodeStreamDir are the historical names for the
-// store package's shared key↔filename encoding (the fswal directory
-// layout predates the store extraction; the encoding lives there now).
-func encodeStreamDir(id string) string { return store.EncodeDir(id) }
-
-func decodeStreamDir(name string) (string, bool) { return store.DecodeDir(name) }

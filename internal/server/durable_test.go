@@ -12,6 +12,7 @@ import (
 
 	streamhull "github.com/streamgeom/streamhull"
 	"github.com/streamgeom/streamhull/geom"
+	"github.com/streamgeom/streamhull/internal/store"
 	"github.com/streamgeom/streamhull/internal/wal"
 	"github.com/streamgeom/streamhull/internal/workload"
 )
@@ -499,19 +500,19 @@ func TestBatchAtomicOnBadInput(t *testing.T) {
 
 func TestStreamDirEncoding(t *testing.T) {
 	for _, id := range []string{"plain", "a/b", "..", ".hidden", "hé%llo", "sp ace", "%41"} {
-		name := encodeStreamDir(id)
+		name := store.EncodeDir(id)
 		if strings.ContainsAny(name, "/\\") || strings.HasPrefix(name, ".") {
 			t.Fatalf("encode(%q) = %q is not filesystem-safe", id, name)
 		}
-		back, ok := decodeStreamDir(name)
+		back, ok := store.DecodeDir(name)
 		if !ok || back != id {
 			t.Fatalf("decode(encode(%q)) = %q, %v", id, back, ok)
 		}
 	}
-	if _, ok := decodeStreamDir("bad%zz"); ok {
+	if _, ok := store.DecodeDir("bad%zz"); ok {
 		t.Fatal("invalid escape accepted")
 	}
-	if _, ok := decodeStreamDir("has space"); ok {
+	if _, ok := store.DecodeDir("has space"); ok {
 		t.Fatal("unsafe character accepted")
 	}
 }

@@ -128,7 +128,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -671,27 +670,25 @@ func writeStreamErr(w http.ResponseWriter, err error, fallback int) {
 // specFromRequest compiles a create request down to a Spec: a non-empty
 // body must be a spec JSON document (the v2 way, able to describe every
 // summary kind); otherwise the legacy algo/r/window query parameters
-// are compiled through streamhull.SpecFor. An oversized body surfaces
-// as *http.MaxBytesError for the caller's 413 mapping.
+// are compiled through streamhull.SpecFor. writeBodyErr answers a
+// failure.
 func (s *Server) specFromRequest(w http.ResponseWriter, req *http.Request) (streamhull.Spec, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		return streamhull.Spec{}, fmt.Errorf("reading body: %w", err)
-	}
-	if len(bytes.TrimSpace(body)) > 0 {
-		return streamhull.ParseSpec(string(body))
-	}
-	algo := req.URL.Query().Get("algo")
-	window := req.URL.Query().Get("window")
-	r := s.cfg.DefaultR
-	if rs := req.URL.Query().Get("r"); rs != "" {
-		v, err := strconv.Atoi(rs)
-		if err != nil {
-			return streamhull.Spec{}, fmt.Errorf("invalid r: %v", err)
+	return readBody(s, w, req, func(body []byte) (streamhull.Spec, error) {
+		if len(bytes.TrimSpace(body)) > 0 {
+			return streamhull.ParseSpec(string(body))
 		}
-		r = v
-	}
-	return streamhull.SpecFor(algo, r, window)
+		algo := req.URL.Query().Get("algo")
+		window := req.URL.Query().Get("window")
+		r := s.cfg.DefaultR
+		if rs := req.URL.Query().Get("r"); rs != "" {
+			v, err := strconv.Atoi(rs)
+			if err != nil {
+				return streamhull.Spec{}, fmt.Errorf("invalid r: %v", err)
+			}
+			r = v
+		}
+		return streamhull.SpecFor(algo, r, window)
+	})
 }
 
 // addStream creates a stream under the server lock, opening its durable
@@ -757,12 +754,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 	ident := identityFrom(req)
 	spec, err := s.specFromRequest(w, req)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeBodyErr(w, err)
 		return
 	}
 	// Creating a stream is a write — except that a push-only follower
@@ -1029,20 +1021,14 @@ func (s *Server) handlePoints(w http.ResponseWriter, req *http.Request) {
 	}
 	// The whole batch is decoded and validated before the stream is
 	// touched, so a 400 response implies nothing was applied.
-	pts, err := s.readPoints(w, req)
+	pts, err := readBody(s, w, req, func(body []byte) ([]geom.Point, error) {
+		return decodePoints(body, s.cfg.MaxBatch)
+	})
 	if sp != nil {
 		sp.ObserveStage("decode", time.Since(t0))
 	}
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
-		return
-	case errors.Is(err, errBatchTooLarge):
-		writeErr(w, http.StatusRequestEntityTooLarge, "%v", err)
-		return
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, "%v", err)
+	if err != nil {
+		writeBodyErr(w, err)
 		return
 	}
 	// With a fan-in default spec, a point POST to a missing stream would
@@ -1313,30 +1299,20 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, req *http.Request) {
 
 // readSnapshotBody decodes a snapshot request body with the endpoint's
 // content negotiation: binary with Content-Type application/octet-stream,
-// JSON otherwise. On failure it writes the error response itself (413
-// for an oversized body, 400 otherwise) and reports false.
-func (s *Server) readSnapshotBody(w http.ResponseWriter, req *http.Request) (streamhull.Snapshot, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
+// JSON otherwise. writeBodyErr answers a failure.
+func (s *Server) readSnapshotBody(w http.ResponseWriter, req *http.Request) (streamhull.Snapshot, error) {
+	binary := wantsBinary(req.Header.Get("Content-Type"))
+	return readBody(s, w, req, func(body []byte) (snap streamhull.Snapshot, err error) {
+		if binary {
+			err = snap.UnmarshalBinary(body)
 		} else {
-			writeErr(w, http.StatusBadRequest, "reading body: %v", err)
+			snap, err = streamhull.DecodeSnapshot(body)
 		}
-		return streamhull.Snapshot{}, false
-	}
-	var snap streamhull.Snapshot
-	if wantsBinary(req.Header.Get("Content-Type")) {
-		err = snap.UnmarshalBinary(data)
-	} else {
-		snap, err = streamhull.DecodeSnapshot(data)
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding snapshot: %v", err)
-		return streamhull.Snapshot{}, false
-	}
-	return snap, true
+		if err != nil {
+			return streamhull.Snapshot{}, fmt.Errorf("decoding snapshot: %w", err)
+		}
+		return snap, nil
+	})
 }
 
 // handleRestore is the snapshot endpoint's write half, serving two
@@ -1352,8 +1328,9 @@ func (s *Server) handleRestore(w http.ResponseWriter, req *http.Request) {
 	}
 	ident := identityFrom(req)
 	id := req.PathValue("id")
-	snap, ok := s.readSnapshotBody(w, req)
-	if !ok {
+	snap, err := s.readSnapshotBody(w, req)
+	if err != nil {
+		writeBodyErr(w, err)
 		return
 	}
 	sum, err := streamhull.SummaryFromSnapshot(snap)
@@ -1450,9 +1427,10 @@ func (s *Server) handleSourcePush(w http.ResponseWriter, req *http.Request, sour
 		writeErr(w, http.StatusBadRequest, "source push requires a numeric epoch, got %q", epochStr)
 		return
 	}
-	snap, ok := s.readSnapshotBody(w, req)
-	if !ok {
+	snap, err := s.readSnapshotBody(w, req)
+	if err != nil {
 		s.met.pushRejected.Inc()
+		writeBodyErr(w, err)
 		return
 	}
 	if err := agg.Push(source, epoch, snap); err != nil {
@@ -1478,21 +1456,16 @@ func (s *Server) handleSourcePush(w http.ResponseWriter, req *http.Request, sour
 // epoch this aggregate now holds — or demand a resync when the frame
 // cannot be anchored.
 func (s *Server) handleDeltaPush(w http.ResponseWriter, req *http.Request, agg *streamhull.FanInHull, id, source string) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.met.pushRejected.Inc()
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
-		} else {
-			writeErr(w, http.StatusBadRequest, "reading body: %v", err)
+	d, err := readBody(s, w, req, func(body []byte) (fanin.Delta, error) {
+		d, err := fanin.DecodeDelta(body)
+		if err != nil {
+			return fanin.Delta{}, fmt.Errorf("decoding delta: %w", err)
 		}
-		return
-	}
-	d, err := fanin.DecodeDelta(data)
+		return d, nil
+	})
 	if err != nil {
 		s.met.pushRejected.Inc()
-		writeErr(w, http.StatusBadRequest, "decoding delta: %v", err)
+		writeBodyErr(w, err)
 		return
 	}
 	if err := agg.PushDelta(source, d); err != nil {

@@ -20,10 +20,7 @@
 // nondeterministic but — by mergeability — still correct.)
 package shard
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // RoundRobin deals successive batches to shards 0..shards-1 cyclically.
 // It is safe for concurrent use; each Next is one atomic add.
@@ -44,35 +41,4 @@ func NewRoundRobin(shards int) *RoundRobin {
 // Next returns the shard index for the next batch.
 func (r *RoundRobin) Next() int {
 	return int((r.next.Add(1) - 1) % r.shards)
-}
-
-// Shards returns the number of shards the dealer rotates over.
-func (r *RoundRobin) Shards() int { return int(r.shards) }
-
-// Dealt returns how many batches have been dealt so far (the counter
-// value); exposed so a summary can report routing statistics.
-func (r *RoundRobin) Dealt() uint64 { return r.next.Load() }
-
-// HashPoint deterministically assigns a coordinate pair to a shard in
-// [0, shards) by FNV-1a over its bit pattern — stable across processes
-// and restarts, unlike a seeded runtime hash, so a hash-routed stream
-// replays identically after recovery. The summary path uses round-robin
-// (cheaper, perfectly balanced); HashPoint serves spatial-affinity
-// routing, where the same point must always land on the same shard.
-func HashPoint(x, y float64, shards int) int {
-	if shards < 1 {
-		panic("shard: need ≥ 1 shard")
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, bits := range [2]uint64{math.Float64bits(x), math.Float64bits(y)} {
-		for i := 0; i < 8; i++ {
-			h ^= (bits >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
-	return int(h % uint64(shards))
 }

@@ -468,9 +468,6 @@ type Health struct {
 // SetReady flips the readiness state.
 func (h *Health) SetReady(ready bool) { h.ready.Store(ready) }
 
-// Ready reports the current readiness state.
-func (h *Health) Ready() bool { return h.ready.Load() }
-
 // StartRecovery enters the "starting" state with total streams to
 // recover; /readyz reports progress until FinishRecovery.
 func (h *Health) StartRecovery(total int) {
